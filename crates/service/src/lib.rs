@@ -92,7 +92,7 @@ pub use config::ServiceConfig;
 pub use request::{AdmissionClass, Answer, Request, ServiceError, SubmitOptions, Ticket};
 pub use service::{Service, DEFAULT_DATABASE};
 pub use stats::ServiceStats;
-pub use wire::{WireClient, WireServer, WireStatsReport};
+pub use wire::{WireClient, WireServer, WireStatsReport, MAX_FRAME_BYTES};
 // The observability configuration and trace types are part of the service's
 // public surface (`ServiceConfig::obs`, `Service::trace_events`);
 // re-exported so embedders need no direct `ppd_obs` dependency.

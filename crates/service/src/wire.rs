@@ -2,6 +2,13 @@
 //! served by [`WireServer`] and spoken by [`WireClient`].
 //!
 //! Framing is one JSON object per `\n`-terminated line, both directions.
+//! Each frame goes out in a single write with its newline, and both ends
+//! set `TCP_NODELAY`, so no frame waits on Nagle's algorithm. An inbound
+//! frame is parsed once and dispatched on its `kind` ([`decode_frame`]).
+//! Frames longer than [`MAX_FRAME_BYTES`] get a `protocol` error frame and
+//! the connection is closed; JSON nested more than 128 levels deep gets a
+//! `protocol` error frame too.
+//!
 //! A request frame:
 //!
 //! ```json
@@ -47,7 +54,9 @@
 //! calls with `to_bits()`. Everything here is `std::net` + `std::thread`;
 //! no async runtime.
 
-use crate::request::{AdmissionClass, Answer, Delivery, Request, ServiceError, SubmitOptions};
+use crate::request::{
+    AdmissionClass, Answer, Delivery, Outcome, Request, ServiceError, SubmitOptions,
+};
 use crate::service::Service;
 use crate::stats::ServiceStats;
 use ppd_core::{
@@ -65,11 +74,20 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// How long a blocked connection read waits before re-checking the server's
 /// stop flag (bounds shutdown latency; invisible to clients).
 const POLL_INTERVAL: Duration = Duration::from_millis(25);
+
+/// The longest inbound frame, newline included. A longer one is answered
+/// with a `protocol` error frame and the connection is closed, so one
+/// client cannot make the server buffer without bound.
+pub const MAX_FRAME_BYTES: usize = 1 << 20;
+
+/// How long a refused connection keeps discarding input after its error
+/// frame, so the close is a FIN behind that frame rather than a reset.
+const LINGER: Duration = Duration::from_secs(1);
 
 // ---------------------------------------------------------------------------
 // Stream + listener abstraction (TCP and Unix sockets share one code path)
@@ -81,6 +99,7 @@ trait WireStream: Read + Write + Send + Sized + 'static {
     fn duplicate(&self) -> io::Result<Self>;
     fn set_read_timeout_opt(&self, timeout: Option<Duration>) -> io::Result<()>;
     fn set_blocking(&self) -> io::Result<()>;
+    fn shutdown_write(&self) -> io::Result<()>;
 }
 
 impl WireStream for TcpStream {
@@ -92,6 +111,9 @@ impl WireStream for TcpStream {
     }
     fn set_blocking(&self) -> io::Result<()> {
         self.set_nonblocking(false)
+    }
+    fn shutdown_write(&self) -> io::Result<()> {
+        self.shutdown(std::net::Shutdown::Write)
     }
 }
 
@@ -106,6 +128,9 @@ impl WireStream for UnixStream {
     fn set_blocking(&self) -> io::Result<()> {
         self.set_nonblocking(false)
     }
+    fn shutdown_write(&self) -> io::Result<()> {
+        self.shutdown(std::net::Shutdown::Write)
+    }
 }
 
 trait WireListener: Send + 'static {
@@ -119,7 +144,12 @@ trait WireListener: Send + 'static {
 impl WireListener for TcpListener {
     type Stream = TcpStream;
     fn accept_stream(&self) -> io::Result<TcpStream> {
-        self.accept().map(|(stream, _)| stream)
+        let (stream, _) = self.accept()?;
+        // Responses are single writes; without this, a write issued while
+        // an earlier segment is unacknowledged waits for the client's
+        // delayed ACK. A stream that refuses the option still works.
+        let _ = stream.set_nodelay(true);
+        Ok(stream)
     }
     fn set_nonblocking_mode(&self) -> io::Result<()> {
         self.set_nonblocking(true)
@@ -166,7 +196,7 @@ impl WireServer {
     pub fn bind_tcp(addr: impl ToSocketAddrs, service: Arc<Service>) -> io::Result<WireServer> {
         let listener = TcpListener::bind(addr)?;
         let tcp_addr = Some(listener.local_addr()?);
-        let mut server = WireServer::start(listener, service);
+        let mut server = WireServer::start(listener, service)?;
         server.tcp_addr = tcp_addr;
         Ok(server)
     }
@@ -177,7 +207,7 @@ impl WireServer {
     pub fn bind_unix(path: impl Into<PathBuf>, service: Arc<Service>) -> io::Result<WireServer> {
         let path = path.into();
         let listener = UnixListener::bind(&path)?;
-        let mut server = WireServer::start(listener, service);
+        let mut server = WireServer::start(listener, service)?;
         server.unix_path = Some(path);
         Ok(server)
     }
@@ -187,10 +217,8 @@ impl WireServer {
         self.tcp_addr
     }
 
-    fn start<L: WireListener>(listener: L, service: Arc<Service>) -> WireServer {
-        listener
-            .set_nonblocking_mode()
-            .expect("set wire listener nonblocking");
+    fn start<L: WireListener>(listener: L, service: Arc<Service>) -> io::Result<WireServer> {
+        listener.set_nonblocking_mode()?;
         let stop = Arc::new(AtomicBool::new(false));
         let connections: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
         let accept = {
@@ -198,16 +226,15 @@ impl WireServer {
             let connections = Arc::clone(&connections);
             std::thread::Builder::new()
                 .name("ppd-wire-accept".into())
-                .spawn(move || accept_loop(listener, service, stop, connections))
-                .expect("spawn wire accept thread")
+                .spawn(move || accept_loop(listener, service, stop, connections))?
         };
-        WireServer {
+        Ok(WireServer {
             stop,
             accept: Some(accept),
             connections,
             tcp_addr: None,
             unix_path: None,
-        }
+        })
     }
 
     /// Stops accepting, joins every connection thread (each notices the
@@ -247,29 +274,29 @@ fn accept_loop<L: WireListener>(
     connections: Arc<Mutex<Vec<JoinHandle<()>>>>,
 ) {
     // Nonblocking accept + sleep keeps shutdown bounded without signals.
-    loop {
-        if stop.load(Ordering::Relaxed) {
-            return;
-        }
+    while !stop.load(Ordering::Relaxed) {
         match listener.accept_stream() {
             Ok(stream) => {
                 let service = Arc::clone(&service);
                 let stop = Arc::clone(&stop);
-                let handle = std::thread::Builder::new()
+                let spawned = std::thread::Builder::new()
                     .name("ppd-wire-conn".into())
-                    .spawn(move || serve_connection(stream, &service, &stop))
-                    .expect("spawn wire connection thread");
-                connections
-                    .lock()
-                    .expect("wire server poisoned")
-                    .push(handle);
+                    .spawn(move || serve_connection(stream, &service, &stop));
+                let mut live = connections.lock().expect("wire server poisoned");
+                // Reap as we go: a finished thread's handle is joined (a
+                // panic there only lost that thread's own client).
+                for finished in live.extract_if(.., |handle| handle.is_finished()) {
+                    let _ = finished.join();
+                }
+                // A failed spawn drops the closure and with it the stream:
+                // that one client is disconnected, the server keeps going.
+                if let Ok(handle) = spawned {
+                    live.push(handle);
+                }
             }
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                std::thread::sleep(POLL_INTERVAL);
-            }
-            Err(_) => return,
+            // Nothing pending (WouldBlock), or a transient failure such as
+            // an aborted handshake or a full descriptor table: wait, retry.
+            Err(_) => std::thread::sleep(POLL_INTERVAL),
         }
     }
 }
@@ -294,28 +321,31 @@ fn serve_connection<S: WireStream>(stream: S, service: &Arc<Service>, stop: &Ato
     let in_flight: Arc<Mutex<HashMap<u64, crate::deadline::CancelToken>>> =
         Arc::new(Mutex::new(HashMap::new()));
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    loop {
-        if stop.load(Ordering::Relaxed) {
-            break;
-        }
-        match reader.read_line(&mut line) {
+    // One buffer per connection, reused frame after frame and never longer
+    // than `MAX_FRAME_BYTES`.
+    let mut frame = Vec::new();
+    while !stop.load(Ordering::Relaxed) {
+        let room = (MAX_FRAME_BYTES - frame.len()) as u64;
+        match (&mut reader).take(room).read_until(b'\n', &mut frame) {
             Ok(0) => break, // EOF: client hung up.
-            Ok(_) => {
-                if !line.ends_with('\n') {
-                    continue; // Timed out mid-line; keep the partial read.
+            Ok(_) if frame.ends_with(b"\n") => {
+                match std::str::from_utf8(&frame) {
+                    Ok(text) if text.trim().is_empty() => {}
+                    Ok(text) => handle_frame(text, service, &writer, &in_flight),
+                    Err(_) => write_error(&writer, None, "frame is not valid UTF-8".into()),
                 }
-                let frame = std::mem::take(&mut line);
-                if !frame.trim().is_empty() {
-                    handle_frame(&frame, service, &writer, &in_flight);
-                }
+                frame.clear();
             }
-            // A read timeout surfaces as WouldBlock (Unix) or TimedOut;
-            // partial bytes, if any, are already appended to `line`.
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut => {
+            Ok(_) if frame.len() == MAX_FRAME_BYTES => {
+                let message = format!("frame exceeds {MAX_FRAME_BYTES} bytes");
+                write_error(&writer, None, message);
+                linger(&mut reader, stop);
+                break;
             }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            // EOF mid-frame: the next read returns 0.
+            Ok(_) => {}
+            // Partial bytes, if any, are already appended to `frame`.
+            Err(e) if no_input_yet(&e) => {}
             Err(_) => break,
         }
     }
@@ -324,126 +354,130 @@ fn serve_connection<S: WireStream>(stream: S, service: &Arc<Service>, stop: &Ato
     }
 }
 
-fn handle_frame<S: WireStream>(
-    frame: &str,
-    service: &Arc<Service>,
-    writer: &Arc<Mutex<S>>,
-    in_flight: &Arc<Mutex<HashMap<u64, crate::deadline::CancelToken>>>,
-) {
-    // The `stats` verb is a control frame, not a query: it carries no
-    // `query` field and is answered synchronously from the service's
-    // counters, so it is intercepted before request decoding.
-    if let Some(id) = decode_stats_request(frame) {
-        let tenants: Vec<(String, u64, CacheStats)> = service
-            .database_ids()
-            .iter()
-            .map(|id| {
-                let stats = service
-                    .engine_for(id)
-                    .expect("listed database resolves")
-                    .cache_stats();
-                let version = service
-                    .database_version(id)
-                    .expect("listed database resolves");
-                (id.to_string(), version, stats)
-            })
-            .collect();
-        write_line(
-            writer,
-            &encode_stats_response(id, &service.stats(), &tenants),
-        );
-        return;
-    }
-    // The `metrics` verb: Prometheus-style text exposition of every
-    // registered instrument (empty when metrics are disabled). Also a
-    // control frame, answered synchronously.
-    if let Some(id) = decode_metrics_request(frame) {
-        write_line(
-            writer,
-            &encode_metrics_response(id, &service.metrics_text()),
-        );
-        return;
-    }
-    // The `trace` verb: the span timeline of one submission's trace id
-    // (as returned in response frames' `trace` field).
-    if let Some((id, trace)) = decode_trace_request(frame) {
-        write_line(
-            writer,
-            &encode_trace_response(id, trace, &service.trace_events(trace)),
-        );
-        return;
-    }
-    // Update frames carry a `session`/`op` instead of a `query`, so they
-    // are also recognized before request decoding.
-    if let Some(decoded) = decode_update_request(frame) {
-        match decoded {
-            Ok((id, update, options)) => {
-                let reply_writer = Arc::clone(writer);
-                let reply_in_flight = Arc::clone(in_flight);
-                let submitted = service.submit_update_callback(update, options, move |outcome| {
-                    write_line(
-                        &reply_writer,
-                        &encode_response(id, &outcome.delivery, outcome.version, outcome.trace),
-                    );
-                    reply_in_flight
-                        .lock()
-                        .expect("wire connection poisoned")
-                        .remove(&id);
-                });
-                match submitted {
-                    Ok((token, _trace)) => {
-                        in_flight
-                            .lock()
-                            .expect("wire connection poisoned")
-                            .insert(id, token);
-                    }
-                    Err(e) => write_line(writer, &encode_response(id, &Err(e), 0, 0)),
-                }
+/// Read errors that only mean "no input yet": a read timeout (WouldBlock
+/// on Unix, TimedOut elsewhere) or a signal.
+fn no_input_yet(e: &io::Error) -> bool {
+    matches!(
+        e.kind(),
+        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut | io::ErrorKind::Interrupted
+    )
+}
+
+/// Closes a refused connection gracefully: shut the write half (a FIN
+/// behind the error frame already written), then discard whatever the
+/// client still sends until it hangs up, `LINGER` passes, or the server
+/// stops. Closing with unread input would send a reset instead, which
+/// lets the client's stack drop the error frame unread.
+fn linger<S: WireStream>(reader: &mut BufReader<S>, stop: &AtomicBool) {
+    let _ = reader.get_ref().shutdown_write();
+    let deadline = Instant::now() + LINGER;
+    while Instant::now() < deadline && !stop.load(Ordering::Relaxed) {
+        match reader.fill_buf() {
+            Ok([]) => return,
+            Ok(input) => {
+                let n = input.len();
+                reader.consume(n);
             }
-            Err((id, message)) => {
-                let err = Err(ServiceError::Protocol(message));
-                write_line(writer, &encode_response(id.unwrap_or(0), &err, 0, 0));
-            }
-        }
-        return;
-    }
-    match decode_request(frame) {
-        Ok((id, request, options)) => {
-            let reply_writer = Arc::clone(writer);
-            let reply_in_flight = Arc::clone(in_flight);
-            let submitted = service.submit_callback(request, options, move |outcome| {
-                write_line(
-                    &reply_writer,
-                    &encode_response(id, &outcome.delivery, outcome.version, outcome.trace),
-                );
-                reply_in_flight
-                    .lock()
-                    .expect("wire connection poisoned")
-                    .remove(&id);
-            });
-            match submitted {
-                Ok((token, _trace)) => {
-                    in_flight
-                        .lock()
-                        .expect("wire connection poisoned")
-                        .insert(id, token);
-                }
-                Err(e) => write_line(writer, &encode_response(id, &Err(e), 0, 0)),
-            }
-        }
-        Err((id, message)) => {
-            let err = Err(ServiceError::Protocol(message));
-            write_line(writer, &encode_response(id.unwrap_or(0), &err, 0, 0));
+            Err(e) if no_input_yet(&e) => {}
+            Err(_) => return,
         }
     }
 }
 
-/// Writes one response line; a broken pipe just means the client left.
-fn write_line<S: WireStream>(writer: &Arc<Mutex<S>>, line: &str) {
+/// Parses one frame, dispatches it on its verb, and writes or schedules its
+/// response. Control verbs answer synchronously from the service's
+/// counters; queries and updates go through admission and answer from
+/// their delivery callback.
+fn handle_frame<W: Write + Send + 'static>(
+    frame: &str,
+    service: &Arc<Service>,
+    writer: &Arc<Mutex<W>>,
+    in_flight: &Arc<Mutex<HashMap<u64, crate::deadline::CancelToken>>>,
+) {
+    let (id, inbound) = match decode_frame(frame) {
+        Ok(decoded) => decoded,
+        Err((id, message)) => return write_error(writer, id, message),
+    };
+    let submitted = match inbound {
+        Inbound::Stats => {
+            let tenants: Vec<(String, u64, CacheStats)> = service
+                .database_ids()
+                .iter()
+                .map(|id| {
+                    let stats = service
+                        .engine_for(id)
+                        .expect("listed database resolves")
+                        .cache_stats();
+                    let version = service
+                        .database_version(id)
+                        .expect("listed database resolves");
+                    (id.to_string(), version, stats)
+                })
+                .collect();
+            let response = encode_stats_response(id, &service.stats(), &tenants);
+            return write_frame(writer, response);
+        }
+        Inbound::Metrics => {
+            return write_frame(writer, encode_metrics_response(id, &service.metrics_text()))
+        }
+        Inbound::Trace(trace) => {
+            let events = service.trace_events(trace);
+            return write_frame(writer, encode_trace_response(id, trace, &events));
+        }
+        Inbound::Query(request, options) => {
+            service.submit_callback(request, options, reply_to(id, writer, in_flight))
+        }
+        Inbound::Update(update, options) => {
+            service.submit_update_callback(update, options, reply_to(id, writer, in_flight))
+        }
+    };
+    match submitted {
+        Ok((token, _trace)) => {
+            in_flight
+                .lock()
+                .expect("wire connection poisoned")
+                .insert(id, token);
+        }
+        Err(e) => write_frame(writer, encode_response(id, &Err(e), 0, 0)),
+    }
+}
+
+/// The delivery callback of frame `id`: writes its response frame, then
+/// drops its cancel token from the connection's in-flight set.
+fn reply_to<W: Write + Send + 'static>(
+    id: u64,
+    writer: &Arc<Mutex<W>>,
+    in_flight: &Arc<Mutex<HashMap<u64, crate::deadline::CancelToken>>>,
+) -> impl FnOnce(Outcome) + Send + 'static {
+    let writer = Arc::clone(writer);
+    let in_flight = Arc::clone(in_flight);
+    move |outcome| {
+        write_frame(
+            &writer,
+            encode_response(id, &outcome.delivery, outcome.version, outcome.trace),
+        );
+        in_flight
+            .lock()
+            .expect("wire connection poisoned")
+            .remove(&id);
+    }
+}
+
+/// Writes one frame and its newline with a single `write_all`: two writes
+/// would let Nagle's algorithm hold the second until the peer's delayed
+/// ACK. A broken pipe just means the client left.
+fn write_frame<W: Write>(writer: &Mutex<W>, mut frame: String) {
+    frame.push('\n');
     let mut guard = writer.lock().expect("wire writer poisoned");
-    let _ = guard.write_all(line.as_bytes());
-    let _ = guard.write_all(b"\n");
+    let _ = guard.write_all(frame.as_bytes());
     let _ = guard.flush();
+}
+
+/// Writes a `protocol` error frame, correlated by `id` when the frame got
+/// that far (0 otherwise).
+fn write_error<W: Write>(writer: &Mutex<W>, id: Option<u64>, message: String) {
+    let error = Err(ServiceError::Protocol(message));
+    write_frame(writer, encode_response(id.unwrap_or(0), &error, 0, 0));
 }
 
 // ---------------------------------------------------------------------------
@@ -493,12 +527,38 @@ impl WireClient {
         }
     }
 
-    fn write_frame(&mut self, frame: &str) -> Result<(), ServiceError> {
+    /// Sends one frame and its newline with a single `write_all` (see the
+    /// server's `write_frame`).
+    fn write_frame(&mut self, mut frame: String) -> Result<(), ServiceError> {
+        frame.push('\n');
         self.writer
             .write_all(frame.as_bytes())
-            .and_then(|()| self.writer.write_all(b"\n"))
             .and_then(|()| self.writer.flush())
             .map_err(|e| ServiceError::Protocol(format!("send failed: {e}")))
+    }
+
+    /// Blocks for the next response frame and parses it.
+    fn read_frame(&mut self) -> Result<Value, ServiceError> {
+        let mut line = String::new();
+        loop {
+            match self.reader.read_line(&mut line) {
+                Ok(0) => return Err(ServiceError::Disconnected),
+                Ok(_) => {
+                    return serde_json::from_str(&line)
+                        .map_err(|e| ServiceError::Protocol(e.to_string()))
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(ServiceError::Protocol(format!("recv failed: {e}"))),
+            }
+        }
+    }
+
+    /// Decodes a response frame into `pending`, for its own `recv` call.
+    fn stash(&mut self, frame: &Value) -> Result<(), ServiceError> {
+        let (id, delivery, version, trace) =
+            decode_response(frame).map_err(ServiceError::Protocol)?;
+        self.pending.insert(id, (delivery, version, trace));
+        Ok(())
     }
 
     /// Sends one request frame without waiting; returns the frame id to
@@ -510,8 +570,7 @@ impl WireClient {
     ) -> Result<u64, ServiceError> {
         let id = self.next_id;
         self.next_id += 1;
-        let frame = encode_request(id, request, options);
-        self.write_frame(&frame)?;
+        self.write_frame(encode_request(id, request, options))?;
         Ok(id)
     }
 
@@ -525,8 +584,7 @@ impl WireClient {
     ) -> Result<u64, ServiceError> {
         let id = self.next_id;
         self.next_id += 1;
-        let frame = encode_update_request(id, update, options);
-        self.write_frame(&frame)?;
+        self.write_frame(encode_update_request(id, update, options))?;
         Ok(id)
     }
 
@@ -552,17 +610,8 @@ impl WireClient {
             if let Some((delivery, version, trace)) = self.pending.remove(&id) {
                 return delivery.map(|answer| (answer, version, trace));
             }
-            let mut line = String::new();
-            match self.reader.read_line(&mut line) {
-                Ok(0) => return Err(ServiceError::Disconnected),
-                Ok(_) => {
-                    let (got, delivery, version, trace) =
-                        decode_response(&line).map_err(ServiceError::Protocol)?;
-                    self.pending.insert(got, (delivery, version, trace));
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(ServiceError::Protocol(format!("recv failed: {e}"))),
-            }
+            let frame = self.read_frame()?;
+            self.stash(&frame)?;
         }
     }
 
@@ -634,26 +683,16 @@ impl WireClient {
         entries.insert(0, ("id", Value::from(id)));
         let frame =
             serde_json::to_string(&object(entries)).expect("control frames always serialize");
-        self.write_frame(&frame)?;
+        self.write_frame(frame)?;
         loop {
-            let mut line = String::new();
-            match self.reader.read_line(&mut line) {
-                Ok(0) => return Err(ServiceError::Disconnected),
-                Ok(_) => {
-                    let value: Value = serde_json::from_str(&line)
-                        .map_err(|e| ServiceError::Protocol(e.to_string()))?;
-                    if value.get("id").and_then(Value::as_u64) == Some(id) {
-                        return value.get("ok").cloned().ok_or_else(|| {
-                            ServiceError::Protocol("control request failed".to_string())
-                        });
-                    }
-                    let (got, delivery, version, trace) =
-                        decode_response(&line).map_err(ServiceError::Protocol)?;
-                    self.pending.insert(got, (delivery, version, trace));
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(ServiceError::Protocol(format!("recv failed: {e}"))),
+            let frame = self.read_frame()?;
+            if frame.get("id").and_then(Value::as_u64) == Some(id) {
+                return frame
+                    .get("ok")
+                    .cloned()
+                    .ok_or_else(|| ServiceError::Protocol("control request failed".to_string()));
             }
+            self.stash(&frame)?;
         }
     }
 }
@@ -696,29 +735,60 @@ pub(crate) fn encode_request(id: u64, request: &Request, options: &SubmitOptions
     serde_json::to_string(&object(entries)).expect("request frames always serialize")
 }
 
-/// A decoded inbound frame: id + payload + options on success; on failure
-/// the frame id (when at least that much parsed, so the error response can
-/// still be correlated) and a message.
-type DecodedFrame<T> = Result<(u64, T, SubmitOptions), (Option<u64>, String)>;
+/// One inbound frame, decoded: a control verb, or work for admission.
+#[derive(Debug)]
+pub(crate) enum Inbound {
+    /// `{"kind": "stats"}`: the counters snapshot.
+    Stats,
+    /// `{"kind": "metrics"}`: the text exposition.
+    Metrics,
+    /// `{"kind": "trace", "trace": t}`: one submission's span timeline.
+    Trace(u64),
+    /// A `boolean`, `count`, `session_probabilities` or `topk` query.
+    Query(Request, SubmitOptions),
+    /// `{"kind": "update", ...}`: a database update.
+    Update(Update, SubmitOptions),
+}
 
-/// Decodes one request frame. On failure, returns the frame id when at
-/// least that much parsed, so the error response can still be correlated.
-pub(crate) fn decode_request(frame: &str) -> DecodedFrame<Request> {
-    let value = serde_json::from_str(frame).map_err(|e| (None, e.to_string()))?;
-    let id = value.get("id").and_then(Value::as_u64);
-    let fail = |message: String| (id, message);
-    let id = id.ok_or_else(|| (None, "missing numeric `id`".to_string()))?;
+/// Parses one inbound frame once and dispatches on its `kind`: the verb
+/// table. On failure, returns the frame id when at least that much parsed,
+/// so the error response can still be correlated, and a message.
+pub(crate) fn decode_frame(frame: &str) -> Result<(u64, Inbound), (Option<u64>, String)> {
+    let value: Value = serde_json::from_str(frame).map_err(|e| (None, e.to_string()))?;
+    let id = value
+        .get("id")
+        .and_then(Value::as_u64)
+        .ok_or((None, "missing numeric `id`".to_string()))?;
+    let fail = |message: String| (Some(id), message);
     let kind = value
         .get("kind")
         .and_then(Value::as_str)
         .ok_or_else(|| fail("missing `kind`".to_string()))?;
-    let query = query_from_json(
-        value
-            .get("query")
-            .ok_or_else(|| fail("missing `query`".to_string()))?,
-    )
-    .map_err(&fail)?;
-    let request = match kind {
+    let inbound = match kind {
+        "stats" => Inbound::Stats,
+        "metrics" => Inbound::Metrics,
+        "trace" => Inbound::Trace(
+            value
+                .get("trace")
+                .and_then(Value::as_u64)
+                .ok_or_else(|| fail("trace frames need a numeric `trace`".to_string()))?,
+        ),
+        "update" => Inbound::Update(
+            decode_update(&value).map_err(fail)?,
+            decode_options(&value).map_err(fail)?,
+        ),
+        _ => Inbound::Query(
+            decode_query(kind, &value).map_err(fail)?,
+            decode_query_options(&value).map_err(fail)?,
+        ),
+    };
+    Ok((id, inbound))
+}
+
+/// Decodes a query frame of kind `kind`; an unknown kind is an error.
+fn decode_query(kind: &str, value: &Value) -> Result<Request, String> {
+    let query = query_from_json(value.get("query").ok_or("missing `query`")?)?;
+    Ok(match kind {
         "boolean" => Request::Boolean(query),
         "count" => Request::Count(query),
         "session_probabilities" => Request::SessionProbabilities(query),
@@ -727,53 +797,59 @@ pub(crate) fn decode_request(frame: &str) -> DecodedFrame<Request> {
             k: value
                 .get("k")
                 .and_then(Value::as_u64)
-                .ok_or_else(|| fail("topk requests need a numeric `k`".to_string()))?
-                as usize,
+                .ok_or("topk requests need a numeric `k`")? as usize,
             strategy: match value.get("strategy") {
                 None => TopKStrategy::Naive,
-                Some(s) => strategy_from_json(s).map_err(&fail)?,
+                Some(s) => strategy_from_json(s)?,
             },
         },
-        other => return Err(fail(format!("unknown request kind `{other}`"))),
-    };
+        other => return Err(format!("unknown request kind `{other}`")),
+    })
+}
+
+/// The options every admitted frame may carry: `class`, `database` and
+/// `deadline_ms`.
+fn decode_options(value: &Value) -> Result<SubmitOptions, String> {
     let mut options = SubmitOptions::default();
     match value.get("class").and_then(Value::as_str) {
         None | Some("interactive") => {}
         Some("batch") => options.class = AdmissionClass::Batch,
-        Some(other) => return Err(fail(format!("unknown admission class `{other}`"))),
+        Some(other) => return Err(format!("unknown admission class `{other}`")),
     }
     if let Some(db) = value.get("database") {
         options.database = Some(
             db.as_str()
-                .ok_or_else(|| fail("`database` must be a string".to_string()))?
+                .ok_or("`database` must be a string")?
                 .to_string(),
         );
     }
     if let Some(ms) = value.get("deadline_ms") {
-        options.deadline = Some(Duration::from_millis(ms.as_u64().ok_or_else(|| {
-            fail("`deadline_ms` must be a non-negative integer".to_string())
-        })?));
+        options.deadline = Some(Duration::from_millis(
+            ms.as_u64()
+                .ok_or("`deadline_ms` must be a non-negative integer")?,
+        ));
     }
+    Ok(options)
+}
+
+/// [`decode_options`] plus a query's optional error budget.
+fn decode_query_options(value: &Value) -> Result<SubmitOptions, String> {
+    let options = decode_options(value)?;
     match (value.get("epsilon"), value.get("confidence")) {
-        (None, None) => {}
+        (None, None) => Ok(options),
         (Some(eps), Some(conf)) => {
             let epsilon = eps
                 .as_f64()
                 .filter(|e| e.is_finite() && *e > 0.0)
-                .ok_or_else(|| fail("`epsilon` must be a positive number".to_string()))?;
+                .ok_or("`epsilon` must be a positive number")?;
             let confidence = conf
                 .as_f64()
                 .filter(|c| *c > 0.0 && *c < 1.0)
-                .ok_or_else(|| fail("`confidence` must be in (0, 1)".to_string()))?;
-            options = options.with_error_budget(epsilon, confidence);
+                .ok_or("`confidence` must be in (0, 1)")?;
+            Ok(options.with_error_budget(epsilon, confidence))
         }
-        _ => {
-            return Err(fail(
-                "`epsilon` and `confidence` must be given together".to_string(),
-            ))
-        }
+        _ => Err("`epsilon` and `confidence` must be given together".to_string()),
     }
-    Ok((id, request, options))
 }
 
 fn request_kind(request: &Request) -> &'static str {
@@ -1013,40 +1089,27 @@ pub(crate) fn encode_update_request(id: u64, update: &Update, options: &SubmitOp
     serde_json::to_string(&object(entries)).expect("update frames always serialize")
 }
 
-/// Recognizes an update frame (`kind == "update"`); `None` means the frame
-/// is something else. On failure, returns the frame id when at least that
-/// much parsed, so the error response can still be correlated.
-pub(crate) fn decode_update_request(frame: &str) -> Option<DecodedFrame<Update>> {
-    let value: Value = serde_json::from_str(frame).ok()?;
-    if value.get("kind").and_then(Value::as_str) != Some("update") {
-        return None;
-    }
-    Some(decode_update_fields(&value))
-}
-
-fn decode_update_fields(value: &Value) -> DecodedFrame<Update> {
-    let id = value.get("id").and_then(Value::as_u64);
-    let fail = |message: String| (id, message);
-    let id = id.ok_or((None, "missing numeric `id`".to_string()))?;
+fn decode_update(value: &Value) -> Result<Update, String> {
     let prelation = value
         .get("prelation")
         .and_then(Value::as_str)
-        .ok_or_else(|| fail("updates need a string `prelation`".to_string()))?
+        .ok_or("updates need a string `prelation`")?
         .to_string();
     let index = || {
         value
             .get("index")
             .and_then(Value::as_u64)
             .map(|i| i as usize)
-            .ok_or_else(|| fail("this update op needs a numeric `index`".to_string()))
+            .ok_or("this update op needs a numeric `index`")
     };
     let session = || {
-        value
-            .get("session")
-            .ok_or_else(|| fail("this update op needs a `session`".to_string()))
-            .and_then(|s| session_from_json(s).map_err(&fail))
+        session_from_json(
+            value
+                .get("session")
+                .ok_or("this update op needs a `session`")?,
+        )
     };
-    let update = match value.get("op").and_then(Value::as_str) {
+    Ok(match value.get("op").and_then(Value::as_str) {
         Some("insert") => Update::InsertSession {
             prelation,
             session: session()?,
@@ -1060,31 +1123,8 @@ fn decode_update_fields(value: &Value) -> DecodedFrame<Update> {
             prelation,
             index: index()?,
         },
-        _ => {
-            return Err(fail(
-                "update `op` must be insert, replace, or delete".to_string(),
-            ))
-        }
-    };
-    let mut options = SubmitOptions::default();
-    match value.get("class").and_then(Value::as_str) {
-        None | Some("interactive") => {}
-        Some("batch") => options.class = AdmissionClass::Batch,
-        Some(other) => return Err(fail(format!("unknown admission class `{other}`"))),
-    }
-    if let Some(db) = value.get("database") {
-        options.database = Some(
-            db.as_str()
-                .ok_or_else(|| fail("`database` must be a string".to_string()))?
-                .to_string(),
-        );
-    }
-    if let Some(ms) = value.get("deadline_ms") {
-        options.deadline = Some(Duration::from_millis(ms.as_u64().ok_or_else(|| {
-            fail("`deadline_ms` must be a non-negative integer".to_string())
-        })?));
-    }
-    Ok((id, update, options))
+        _ => return Err("update `op` must be insert, replace, or delete".to_string()),
+    })
 }
 
 /// A session crosses the wire as its attributes plus its Mallows model:
@@ -1160,10 +1200,9 @@ pub(crate) fn encode_response(id: u64, delivery: &Delivery, version: u64, trace:
     serde_json::to_string(&object(entries)).expect("response frames always serialize")
 }
 
-/// Decodes one response frame into `(id, delivery, computed version,
-/// trace id)` — trace 0 when the frame carried none.
-pub(crate) fn decode_response(frame: &str) -> Result<(u64, Delivery, Option<u64>, u64), String> {
-    let value = serde_json::from_str(frame).map_err(|e| e.to_string())?;
+/// Decodes one parsed response frame into `(id, delivery, computed
+/// version, trace id)` — trace 0 when the frame carried none.
+pub(crate) fn decode_response(value: &Value) -> Result<(u64, Delivery, Option<u64>, u64), String> {
     let id = value
         .get("id")
         .and_then(Value::as_u64)
@@ -1194,15 +1233,6 @@ pub struct WireStatsReport {
     /// Per-tenant `(database id, database version, base-engine cache
     /// counters)`, in registration order.
     pub tenants: Vec<(String, u64, CacheStats)>,
-}
-
-/// Recognizes a stats control frame, returning its id.
-fn decode_stats_request(frame: &str) -> Option<u64> {
-    let value: Value = serde_json::from_str(frame).ok()?;
-    if value.get("kind").and_then(Value::as_str) != Some("stats") {
-        return None;
-    }
-    value.get("id").and_then(Value::as_u64)
 }
 
 fn cache_to_json(cache: &CacheStats) -> Value {
@@ -1422,15 +1452,6 @@ fn decode_stats_payload(value: &Value) -> Result<WireStatsReport, String> {
 // Metrics verb: `{"id": n, "kind": "metrics"}` ⇄ text exposition
 // ---------------------------------------------------------------------------
 
-/// Recognizes a metrics control frame, returning its id.
-fn decode_metrics_request(frame: &str) -> Option<u64> {
-    let value: Value = serde_json::from_str(frame).ok()?;
-    if value.get("kind").and_then(Value::as_str) != Some("metrics") {
-        return None;
-    }
-    value.get("id").and_then(Value::as_u64)
-}
-
 /// Encodes the response to a metrics control frame. The exposition text
 /// rides inside the JSON string (newlines escaped), so the frame stays one
 /// line like every other response.
@@ -1458,17 +1479,6 @@ fn decode_metrics_payload(value: &Value) -> Result<String, String> {
 // ---------------------------------------------------------------------------
 // Trace verb: `{"id": n, "kind": "trace", "trace": t}` ⇄ span timeline
 // ---------------------------------------------------------------------------
-
-/// Recognizes a trace control frame, returning `(id, trace id)`.
-fn decode_trace_request(frame: &str) -> Option<(u64, u64)> {
-    let value: Value = serde_json::from_str(frame).ok()?;
-    if value.get("kind").and_then(Value::as_str) != Some("trace") {
-        return None;
-    }
-    let id = value.get("id").and_then(Value::as_u64)?;
-    let trace = value.get("trace").and_then(Value::as_u64)?;
-    Some((id, trace))
-}
 
 fn span_to_json(record: &SpanRecord) -> Value {
     let mut entries = vec![
@@ -1806,6 +1816,31 @@ mod tests {
     use super::*;
     use ppd_core::Value as PpdValue;
 
+    /// [`decode_frame`], narrowed to query frames.
+    fn decode_query_frame(
+        frame: &str,
+    ) -> Result<(u64, Request, SubmitOptions), (Option<u64>, String)> {
+        match decode_frame(frame)? {
+            (id, Inbound::Query(request, options)) => Ok((id, request, options)),
+            (id, other) => panic!("frame {id} decoded as {other:?}, not a query"),
+        }
+    }
+
+    /// [`decode_frame`], narrowed to update frames.
+    fn decode_update_frame(
+        frame: &str,
+    ) -> Result<(u64, Update, SubmitOptions), (Option<u64>, String)> {
+        match decode_frame(frame)? {
+            (id, Inbound::Update(update, options)) => Ok((id, update, options)),
+            (id, other) => panic!("frame {id} decoded as {other:?}, not an update"),
+        }
+    }
+
+    /// Parses a response frame for [`decode_response`].
+    fn parse(frame: &str) -> Value {
+        serde_json::from_str(frame).expect("response frames parse")
+    }
+
     fn demo_query() -> ConjunctiveQuery {
         ConjunctiveQuery::new("demo")
             .prefer(
@@ -1840,7 +1875,7 @@ mod tests {
         for (i, request) in requests.iter().enumerate() {
             let frame = encode_request(i as u64 + 1, request, &options);
             assert!(!frame.contains('\n'), "frames are single lines: {frame}");
-            let (id, decoded, decoded_options) = decode_request(&frame).expect("round trip");
+            let (id, decoded, decoded_options) = decode_query_frame(&frame).expect("round trip");
             assert_eq!(id, i as u64 + 1);
             assert_eq!(decoded.query(), request.query());
             assert_eq!(request_kind(&decoded), request_kind(request));
@@ -1872,7 +1907,7 @@ mod tests {
             &Request::Boolean(demo_query()),
             &SubmitOptions::default(),
         );
-        let (_, _, options) = decode_request(&frame).unwrap();
+        let (_, _, options) = decode_query_frame(&frame).unwrap();
         assert_eq!(options.class, AdmissionClass::Interactive);
         assert_eq!(options.database, None);
         assert_eq!(options.deadline, None);
@@ -1901,7 +1936,8 @@ mod tests {
         ];
         for delivery in &deliveries {
             let frame = encode_response(42, delivery, 0, 0);
-            let (id, decoded, version, trace) = decode_response(&frame).expect("round trip");
+            let (id, decoded, version, trace) =
+                decode_response(&parse(&frame)).expect("round trip");
             assert_eq!(id, 42);
             assert_eq!(version, None, "version 0 omits the field");
             assert_eq!(trace, 0, "trace 0 omits the field");
@@ -1913,7 +1949,7 @@ mod tests {
         // A versioned response carries the snapshot id back to the client,
         // and a traced one its trace id (the `trace` verb's handle).
         let frame = encode_response(42, &Ok(Answer::Boolean(0.5)), 3, 9);
-        let (_, _, version, trace) = decode_response(&frame).expect("round trip");
+        let (_, _, version, trace) = decode_response(&parse(&frame)).expect("round trip");
         assert_eq!(version, Some(3));
         assert_eq!(trace, 9);
     }
@@ -1945,9 +1981,7 @@ mod tests {
         for (i, update) in updates.iter().enumerate() {
             let frame = encode_update_request(i as u64 + 1, update, &options);
             assert!(!frame.contains('\n'), "frames are single lines: {frame}");
-            let (id, decoded, decoded_options) = decode_update_request(&frame)
-                .expect("update frames are recognized")
-                .expect("round trip");
+            let (id, decoded, decoded_options) = decode_update_frame(&frame).expect("round trip");
             assert_eq!(id, i as u64 + 1);
             assert_eq!(decoded_options.class, AdmissionClass::Batch);
             assert_eq!(decoded_options.database.as_deref(), Some("polls"));
@@ -1993,25 +2027,26 @@ mod tests {
         }
         // Replace keeps its index too.
         let frame = encode_update_request(9, &updates[1], &SubmitOptions::default());
-        let (_, decoded, options) = decode_update_request(&frame).unwrap().unwrap();
+        let (_, decoded, options) = decode_update_frame(&frame).unwrap();
         assert!(matches!(decoded, Update::ReplaceSession { index: 5, .. }));
         assert_eq!(options.class, AdmissionClass::Interactive);
         assert_eq!(options.database, None);
         // Query frames are not update frames, and malformed updates keep
         // their id for error correlation.
-        assert!(decode_update_request(r#"{"id": 1, "kind": "boolean"}"#).is_none());
-        let (id, _) = decode_update_request(
+        assert!(!matches!(
+            decode_frame(r#"{"id": 1, "kind": "boolean"}"#),
+            Ok((_, Inbound::Update(..)))
+        ));
+        let (id, _) = decode_update_frame(
             r#"{"id": 3, "kind": "update", "op": "warp", "prelation": "Polls"}"#,
         )
-        .unwrap()
         .expect_err("unknown op");
         assert_eq!(id, Some(3));
         assert!(
-            decode_update_request(
+            decode_update_frame(
                 r#"{"id": 4, "kind": "update", "op": "insert", "prelation": "Polls",
                     "session": {"attrs": [], "ranking": [0, 0], "phi": 0.5}}"#
             )
-            .unwrap()
             .is_err(),
             "a duplicate-item ranking is rejected at decode time"
         );
@@ -2029,7 +2064,7 @@ mod tests {
         ];
         for error in errors {
             let frame = encode_response(1, &Err(error.clone()), 0, 0);
-            let (_, decoded, _, _) = decode_response(&frame).unwrap();
+            let (_, decoded, _, _) = decode_response(&parse(&frame)).unwrap();
             assert_eq!(decoded, Err(error));
         }
         // Evaluation errors flatten to text plus the stable `error_kind`,
@@ -2047,7 +2082,7 @@ mod tests {
         for (error, kind) in cases {
             let frame = encode_response(1, &Err(ServiceError::Eval(error)), 0, 0);
             assert!(frame.contains(kind), "{frame}");
-            let (_, decoded, _, _) = decode_response(&frame).unwrap();
+            let (_, decoded, _, _) = decode_response(&parse(&frame)).unwrap();
             match decoded {
                 Err(ServiceError::Eval(e)) => assert_eq!(e.kind(), kind, "{e:?}"),
                 other => panic!("eval error changed class across the wire: {other:?}"),
@@ -2056,7 +2091,7 @@ mod tests {
         // Kinds wrapping structured payloads flatten to Malformed text but
         // still report an eval error, not a protocol failure.
         let frame = r#"{"id": 1, "err": {"kind": "eval", "error_kind": "solver", "detail": "s"}}"#;
-        let (_, decoded, _, _) = decode_response(frame).unwrap();
+        let (_, decoded, _, _) = decode_response(&parse(frame)).unwrap();
         assert!(
             matches!(decoded, Err(ServiceError::Eval(PpdError::Malformed(_)))),
             "{decoded:?}"
@@ -2065,28 +2100,30 @@ mod tests {
 
     #[test]
     fn malformed_frames_fail_with_context() {
-        assert!(decode_request("not json").is_err());
-        let (id, _) = decode_request(r#"{"id": 3, "kind": "nope", "query": {"name": "q"}}"#)
+        assert!(decode_frame("not json").is_err());
+        let (id, _) = decode_frame(r#"{"id": 3, "kind": "nope", "query": {"name": "q"}}"#)
             .expect_err("unknown kind");
         assert_eq!(id, Some(3), "id survives for error correlation");
-        assert!(decode_response(r#"{"id": 1}"#).is_err());
+        assert!(decode_response(&parse(r#"{"id": 1}"#)).is_err());
         // A lone half of an error budget is a protocol error, not a silent
         // fall-back to the tenant's configured solver.
         let lone = r#"{"id": 4, "kind": "boolean", "query": {"name": "q"}, "epsilon": 0.01}"#;
-        assert!(decode_request(lone).is_err());
+        assert!(decode_query_frame(lone).is_err());
         let bad_eps = r#"{"id": 5, "kind": "boolean", "query": {"name": "q"}, "epsilon": -1.0, "confidence": 0.9}"#;
-        assert!(decode_request(bad_eps).is_err());
+        assert!(decode_query_frame(bad_eps).is_err());
     }
 
     #[test]
     fn stats_frames_round_trip() {
-        assert_eq!(
-            decode_stats_request(r#"{"id": 6, "kind": "stats"}"#),
-            Some(6)
-        );
-        assert_eq!(
-            decode_stats_request(r#"{"id": 6, "kind": "boolean"}"#),
-            None,
+        assert!(matches!(
+            decode_frame(r#"{"id": 6, "kind": "stats"}"#),
+            Ok((6, Inbound::Stats))
+        ));
+        assert!(
+            !matches!(
+                decode_frame(r#"{"id": 6, "kind": "boolean"}"#),
+                Ok((_, Inbound::Stats))
+            ),
             "query frames are not stats frames"
         );
         let stats = ServiceStats {
@@ -2144,13 +2181,15 @@ mod tests {
 
     #[test]
     fn metrics_frames_round_trip() {
-        assert_eq!(
-            decode_metrics_request(r#"{"id": 8, "kind": "metrics"}"#),
-            Some(8)
-        );
-        assert_eq!(
-            decode_metrics_request(r#"{"id": 8, "kind": "stats"}"#),
-            None,
+        assert!(matches!(
+            decode_frame(r#"{"id": 8, "kind": "metrics"}"#),
+            Ok((8, Inbound::Metrics))
+        ));
+        assert!(
+            !matches!(
+                decode_frame(r#"{"id": 8, "kind": "stats"}"#),
+                Ok((_, Inbound::Metrics))
+            ),
             "stats frames are not metrics frames"
         );
         // The exposition text is multi-line; the frame must still be one.
@@ -2163,15 +2202,191 @@ mod tests {
         assert_eq!(decoded, text);
     }
 
+    /// A socket stand-in that counts `write` calls. Reads play `input`,
+    /// then report "no data yet" until `hang_up_after` response lines have
+    /// been written, then end of stream.
+    #[derive(Clone)]
+    struct MockStream {
+        input: Arc<Mutex<io::Cursor<Vec<u8>>>>,
+        hang_up_after: usize,
+        writes: Arc<std::sync::atomic::AtomicUsize>,
+        output: Arc<Mutex<Vec<u8>>>,
+    }
+
+    impl MockStream {
+        fn new(input: Vec<u8>, hang_up_after: usize) -> MockStream {
+            MockStream {
+                input: Arc::new(Mutex::new(io::Cursor::new(input))),
+                hang_up_after,
+                writes: Arc::default(),
+                output: Arc::default(),
+            }
+        }
+
+        fn writes(&self) -> usize {
+            self.writes.load(Ordering::SeqCst)
+        }
+
+        fn lines(&self) -> Vec<String> {
+            let output = self.output.lock().unwrap();
+            String::from_utf8(output.clone())
+                .unwrap()
+                .lines()
+                .map(str::to_string)
+                .collect()
+        }
+    }
+
+    impl Read for MockStream {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = self.input.lock().unwrap().read(buf)?;
+            if n > 0 || self.lines().len() >= self.hang_up_after {
+                return Ok(n);
+            }
+            std::thread::sleep(Duration::from_millis(1));
+            Err(io::ErrorKind::WouldBlock.into())
+        }
+    }
+
+    impl Write for MockStream {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes.fetch_add(1, Ordering::SeqCst);
+            self.output.lock().unwrap().extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    impl WireStream for MockStream {
+        fn duplicate(&self) -> io::Result<Self> {
+            Ok(self.clone())
+        }
+        fn set_read_timeout_opt(&self, _: Option<Duration>) -> io::Result<()> {
+            Ok(())
+        }
+        fn set_blocking(&self) -> io::Result<()> {
+            Ok(())
+        }
+        fn shutdown_write(&self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn mock_service() -> Arc<Service> {
+        let db = ppd_datagen::polls_database(&ppd_datagen::PollsConfig {
+            num_candidates: 4,
+            num_voters: 6,
+            seed: 1,
+        });
+        Arc::new(Service::new(
+            db,
+            crate::ServiceConfig::new(ppd_core::EvalConfig::exact()),
+        ))
+    }
+
+    #[test]
+    fn every_frame_is_one_write() {
+        let query = ConjunctiveQuery::new("pair").prefer(
+            "Polls",
+            vec![Term::any(), Term::any()],
+            Term::val("cand0"),
+            Term::val("cand1"),
+        );
+        let mut input = Vec::new();
+        for frame in [
+            encode_request(
+                1,
+                &Request::Boolean(query.clone()),
+                &SubmitOptions::default(),
+            ),
+            r#"{"id": 2, "kind": "stats"}"#.to_string(),
+            r#"{"id": 3, "kind": "metrics"}"#.to_string(),
+            r#"{"id": 4, "kind": "trace", "trace": 1}"#.to_string(),
+            r#"{"id": 5, "kind": "boolean"}"#.to_string(),
+            encode_request(6, &Request::Count(query), &SubmitOptions::default()),
+        ] {
+            input.extend_from_slice(frame.as_bytes());
+            input.push(b'\n');
+        }
+        input.extend_from_slice(b"\xff\xfe\n\n");
+        let stream = MockStream::new(input, 7);
+        serve_connection(stream.clone(), &mock_service(), &AtomicBool::new(false));
+        let lines = stream.lines();
+        assert_eq!(
+            lines.len(),
+            7,
+            "one response per non-blank frame: {lines:?}"
+        );
+        assert_eq!(stream.writes(), 7, "each response frame is a single write");
+        let mut ids: Vec<u64> = lines
+            .iter()
+            .map(|line| parse(line).get("id").and_then(Value::as_u64).unwrap())
+            .collect();
+        ids.sort_unstable();
+        assert_eq!(ids, [0, 1, 2, 3, 4, 5, 6]);
+
+        // The client side: one write per request or update frame.
+        let writer = MockStream::new(Vec::new(), 0);
+        let mut client = WireClient::from_halves(io::empty(), writer.clone());
+        client
+            .send(&Request::Boolean(demo_query()), &SubmitOptions::default())
+            .unwrap();
+        let update = Update::DeleteSession {
+            prelation: "Polls".into(),
+            index: 0,
+        };
+        client
+            .send_update(&update, &SubmitOptions::default())
+            .unwrap();
+        assert_eq!(writer.writes(), 2);
+        assert_eq!(writer.lines().len(), 2);
+    }
+
+    #[test]
+    fn oversized_frames_are_refused_with_an_error_frame() {
+        let mut input = vec![b'['; MAX_FRAME_BYTES + 10];
+        input.extend_from_slice(b"\n{\"id\": 1, \"kind\": \"stats\"}\n");
+        let stream = MockStream::new(input, 1);
+        serve_connection(stream.clone(), &mock_service(), &AtomicBool::new(false));
+        let lines = stream.lines();
+        assert_eq!(
+            lines.len(),
+            1,
+            "the connection closes after the error: {lines:?}"
+        );
+        let (id, delivery, _, _) = decode_response(&parse(&lines[0])).unwrap();
+        assert_eq!(id, 0);
+        match delivery {
+            Err(ServiceError::Protocol(message)) => {
+                assert!(message.contains("exceeds"), "{message}")
+            }
+            other => panic!("expected a protocol error, got {other:?}"),
+        }
+        // A frame of exactly the limit, newline included, is still served.
+        let mut input = vec![b' '; MAX_FRAME_BYTES - 1];
+        let stats = br#"{"id": 9, "kind": "stats"}"#;
+        input[..stats.len()].copy_from_slice(stats);
+        input.push(b'\n');
+        let stream = MockStream::new(input, 1);
+        serve_connection(stream.clone(), &mock_service(), &AtomicBool::new(false));
+        let lines = stream.lines();
+        assert_eq!(lines.len(), 1);
+        assert!(lines[0].contains(r#""kind": "stats""#), "{}", lines[0]);
+    }
+
     #[test]
     fn trace_frames_round_trip() {
-        assert_eq!(
-            decode_trace_request(r#"{"id": 2, "kind": "trace", "trace": 17}"#),
-            Some((2, 17))
-        );
-        assert_eq!(
-            decode_trace_request(r#"{"id": 2, "kind": "trace"}"#),
-            None,
+        assert!(matches!(
+            decode_frame(r#"{"id": 2, "kind": "trace", "trace": 17}"#),
+            Ok((2, Inbound::Trace(17)))
+        ));
+        assert!(
+            !matches!(
+                decode_frame(r#"{"id": 2, "kind": "trace"}"#),
+                Ok((_, Inbound::Trace(_)))
+            ),
             "a trace frame without a trace id is not recognized"
         );
         let events = vec![
